@@ -1,6 +1,6 @@
 # Developer entry points. `make verify` is the full pre-merge gate:
 # vet + build + tests, plus the race detector on the concurrency-heavy
-# packages (allocator, recovery, metrics).
+# packages (device handles and middleware, allocator, recovery, metrics).
 
 GO ?= go
 
@@ -20,7 +20,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/shm ./internal/recovery ./internal/obs .
+	$(GO) test -race ./internal/cxl ./internal/shm ./internal/recovery ./internal/obs .
 
 # bench-smoke runs the fast-path micro-benchmarks a handful of iterations
 # under the race detector: not for numbers, but to drive the benchmark paths

@@ -21,9 +21,12 @@
 //     and CAS issued through that client's Handle are silently dropped,
 //     modelling "the failed client cannot modify the shared memory pool
 //     after its recovery has started" (paper §3.2).
-//   - Flush/fence accounting: Handle.Flush and Handle.SFence count
-//     invocations and optionally burn a configurable latency, so the
-//     Figure 7 cost breakdown can be reproduced.
+//   - Flush/fence points: Handle.Flush and Handle.SFence optionally burn a
+//     configurable latency, so the Figure 7 cost breakdown can be
+//     reproduced.
+//
+// The device counts no accesses itself: stack the WithCounting middleware
+// to count them.
 package cxl
 
 import (
@@ -41,24 +44,6 @@ const WordBytes = 8
 // LineWords is the number of words per modelled cache line.
 const LineWords = 8
 
-// counters is one access-counter block. The device keeps one for its own
-// management-plane accesses and one per client ID for Handle accesses, so
-// concurrent clients never share a counter cache line: enabling access
-// counting must not serialize the very accesses whose scalability the
-// benchmarks measure. Stats merges all blocks on read.
-type counters struct {
-	loads, stores, cases, flushes, fences atomic.Uint64
-	_                                     [24]byte // pad to a cache line
-}
-
-func (c *counters) reset() {
-	c.loads.Store(0)
-	c.stores.Store(0)
-	c.cases.Store(0)
-	c.flushes.Store(0)
-	c.fences.Store(0)
-}
-
 // Device is the heap-backed simulated CXL shared memory pool. MapDevice
 // embeds it to reuse the entire data path over an mmap'd file.
 //
@@ -70,18 +55,6 @@ type Device struct {
 	// MapDevice this slice views the shared file, so a recovery service in
 	// another process can fence this process's clients.
 	fenced []atomic.Uint32
-
-	// countAccesses enables the per-access load/store/CAS counters. Off by
-	// default; when on, counting is handle-local (see counters).
-	countAccesses bool
-
-	// devCtr counts management-plane accesses (direct Memory calls: pool
-	// formatting, recovery, validators).
-	devCtr counters
-	// hctr[cid] is the counter block Handles opened for cid use. Handle
-	// incarnations for the same client ID share a block, so totals stay
-	// monotonic across slot reuse.
-	hctr []counters
 }
 
 // Device implements Memory.
@@ -93,11 +66,6 @@ type Config struct {
 	Words int
 	// MaxClients bounds the client IDs that can be fenced. Must be > 0.
 	MaxClients int
-	// CountAccesses enables load/store/CAS statistics. Counting is
-	// handle-local and merged on read, so it perturbs concurrent
-	// benchmarks far less than a shared counter would; still, keep it off
-	// for pure throughput runs.
-	CountAccesses bool
 }
 
 // NewDevice creates a heap-backed device of cfg.Words words, all zero.
@@ -106,7 +74,7 @@ func NewDevice(cfg Config) (*Device, error) {
 		return nil, err
 	}
 	d := &Device{}
-	d.init(make([]uint64, cfg.Words), make([]atomic.Uint32, cfg.MaxClients+1), cfg.CountAccesses)
+	d.init(make([]uint64, cfg.Words), make([]atomic.Uint32, cfg.MaxClients+1))
 	return d, nil
 }
 
@@ -122,11 +90,9 @@ func (cfg Config) validate() error {
 
 // init wires the device core around the given storage. words and fenced may
 // live on the Go heap (NewDevice) or inside an mmap'd file (MapDevice).
-func (d *Device) init(words []uint64, fenced []atomic.Uint32, countAccesses bool) {
+func (d *Device) init(words []uint64, fenced []atomic.Uint32) {
 	d.words = words
 	d.fenced = fenced
-	d.countAccesses = countAccesses
-	d.hctr = make([]counters, len(fenced))
 }
 
 // Words reports the size of the pool in words.
@@ -137,11 +103,6 @@ func (d *Device) Bytes() int { return len(d.words) * WordBytes }
 
 // MaxClients reports the highest client ID that can be fenced or opened.
 func (d *Device) MaxClients() int { return len(d.fenced) - 1 }
-
-// SetAccessCounting switches load/store/CAS counting on or off. Call before
-// the device is shared (handles snapshot the flag at Open); intended for
-// instrumenting a freshly opened MapDevice.
-func (d *Device) SetAccessCounting(on bool) { d.countAccesses = on }
 
 // check panics on an out-of-range address. A real device would machine-check;
 // in the simulation an out-of-range access is always an implementation bug,
@@ -155,9 +116,6 @@ func (d *Device) check(a Addr) {
 // Load atomically reads the word at a.
 func (d *Device) Load(a Addr) uint64 {
 	d.check(a)
-	if d.countAccesses {
-		d.devCtr.loads.Add(1)
-	}
 	return atomic.LoadUint64(&d.words[a])
 }
 
@@ -166,27 +124,21 @@ func (d *Device) Load(a Addr) uint64 {
 // through a Handle so RAS fencing applies.
 func (d *Device) Store(a Addr, v uint64) {
 	d.check(a)
-	if d.countAccesses {
-		d.devCtr.stores.Add(1)
-	}
 	atomic.StoreUint64(&d.words[a], v)
 }
 
 // CAS atomically compares-and-swaps the word at a, ignoring fencing.
 func (d *Device) CAS(a Addr, old, new uint64) bool {
 	d.check(a)
-	if d.countAccesses {
-		d.devCtr.cases.Add(1)
-	}
 	return atomic.CompareAndSwapUint64(&d.words[a], old, new)
 }
 
 // Fence is a management-plane ordering point. Go atomics are sequentially
-// consistent, so nothing to do; Handle.SFence carries the accounting.
+// consistent, so there is nothing to do.
 func (d *Device) Fence() {}
 
-// Flush is a management-plane CLWB point; Handle.Flush carries the
-// accounting and latency.
+// Flush is a management-plane CLWB point; Handle.Flush charges the
+// modelled latency.
 func (d *Device) Flush(a Addr) {}
 
 // FenceClient RAS-fences client cid: all subsequent stores and CAS issued
@@ -240,38 +192,4 @@ func RestoreDevice(cfg Config, snapshot []uint64) (*Device, error) {
 	}
 	copy(d.words, snapshot)
 	return d, nil
-}
-
-// Stats is a snapshot of device access counters.
-type Stats struct {
-	Loads, Stores, CASes, Flushes, Fences uint64
-}
-
-// Stats merges the management-plane counters and every client's handle
-// counters into one snapshot.
-func (d *Device) Stats() Stats {
-	s := Stats{
-		Loads:   d.devCtr.loads.Load(),
-		Stores:  d.devCtr.stores.Load(),
-		CASes:   d.devCtr.cases.Load(),
-		Flushes: d.devCtr.flushes.Load(),
-		Fences:  d.devCtr.fences.Load(),
-	}
-	for i := range d.hctr {
-		c := &d.hctr[i]
-		s.Loads += c.loads.Load()
-		s.Stores += c.stores.Load()
-		s.CASes += c.cases.Load()
-		s.Flushes += c.flushes.Load()
-		s.Fences += c.fences.Load()
-	}
-	return s
-}
-
-// ResetStats zeroes all access counters, including every handle's.
-func (d *Device) ResetStats() {
-	d.devCtr.reset()
-	for i := range d.hctr {
-		d.hctr[i].reset()
-	}
 }

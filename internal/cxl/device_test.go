@@ -10,7 +10,7 @@ import (
 
 func newTestDevice(t *testing.T, words int) *Device {
 	t.Helper()
-	d, err := NewDevice(Config{Words: words, MaxClients: 16, CountAccesses: true})
+	d, err := NewDevice(Config{Words: words, MaxClients: 16})
 	if err != nil {
 		t.Fatalf("NewDevice: %v", err)
 	}
@@ -178,22 +178,7 @@ func TestWriteBytesDoesNotClobberNeighbours(t *testing.T) {
 }
 
 func TestStatsAccounting(t *testing.T) {
-	d := newTestDevice(t, 16)
-	d.ResetStats()
-	h := d.Open(1)
-	h.Store(1, 1)
-	h.Load(1)
-	h.CAS(1, 1, 2)
-	h.Flush(1)
-	h.SFence()
-	s := d.Stats()
-	if s.Stores != 1 || s.Loads != 1 || s.CASes != 1 || s.Flushes != 1 || s.Fences != 1 {
-		t.Fatalf("stats = %+v, want one of each", s)
-	}
-	d.ResetStats()
-	if s := d.Stats(); s != (Stats{}) {
-		t.Fatalf("after reset stats = %+v, want zero", s)
-	}
+	checkAccessCounting(t, newTestDevice(t, 16))
 }
 
 func TestLineCacheHitsAndInvalidation(t *testing.T) {

@@ -3,10 +3,10 @@ package cxl
 import "sync/atomic"
 
 // Handle is one client's view of a Memory. It is the only path client code
-// may use to access shared memory: RAS fencing, the latency model, access
-// hooks and per-client access counting are applied here. A Handle is owned
-// by a single goroutine and is not goroutine-safe (matching the paper's
-// one-client-per-thread model); the Memory underneath is fully concurrent.
+// may use to access shared memory: RAS fencing, the latency model and access
+// hooks are applied here. A Handle is owned by a single goroutine and is not
+// goroutine-safe (matching the paper's one-client-per-thread model); the
+// Memory underneath is fully concurrent.
 //
 // Dispatch is two-tier, so the heap fast path never pays interface calls:
 // when the handle is opened directly on a *Device (or *MapDevice, or only
@@ -27,11 +27,6 @@ type Handle struct {
 	// (heap or mmap'd file). Fencing is device-authoritative, so the fast
 	// check survives retargeting through middleware.
 	fencedW *atomic.Uint32
-	// ctr is this client's counter block in the bottom device, merged into
-	// Stats on read. count gates load/store/CAS counting on the fast path;
-	// on the interface path the bottom device counts for itself.
-	ctr   *counters
-	count bool
 
 	// lat, when set, applies the latency model (see Latency); installed by
 	// the WithLatency middleware. cache models this client's CPU cache: a
@@ -58,24 +53,19 @@ func (d *Device) Open(cid int) *Handle {
 		dev:     d,
 		cid:     cid,
 		fencedW: &d.fenced[cid],
-		ctr:     &d.hctr[cid],
-		count:   d.countAccesses,
 	}
 }
 
 // retarget reroutes the handle's data path through m, an intercepting
 // middleware layer: dev is cleared so every Load/Store/CAS goes through m.
-// The fence word and counter block stay wired to the bottom device
-// (fencing and Stats remain device-authoritative); fast-path counting is
-// disabled because the bottom device now counts the interface-path calls
-// itself. Any handle-level hook installed by a layer below m is cleared
-// for the same reason: that layer now sees the retargeted traffic at the
-// device plane, and keeping the handle hook too would fire it twice.
+// The fence word stays wired to the bottom device (fencing remains
+// device-authoritative). Any handle-level hook installed by a layer below m
+// is cleared: that layer now sees the retargeted traffic at the device
+// plane, and keeping the handle hook too would fire it twice.
 // Hook layers stacked above m set their hook after this runs and keep it.
 func (h *Handle) retarget(m Memory) *Handle {
 	h.mem = m
 	h.dev = nil
-	h.count = false
 	h.hook = nil
 	return h
 }
@@ -102,9 +92,6 @@ func (h *Handle) setHook(hook AccessHook) *Handle {
 	return h
 }
 
-// ClientID returns the client ID this handle was opened for.
-func (h *Handle) ClientID() int { return h.cid }
-
 // Fenced reports whether this handle's client has been RAS-fenced.
 func (h *Handle) Fenced() bool {
 	if w := h.fencedW; w != nil {
@@ -126,9 +113,6 @@ func (h *Handle) Load(a Addr) uint64 {
 	}
 	if d := h.dev; d != nil {
 		d.check(a)
-		if h.count {
-			h.ctr.loads.Add(1)
-		}
 		return atomic.LoadUint64(&d.words[a])
 	}
 	return h.mem.Load(a)
@@ -153,9 +137,6 @@ func (h *Handle) Store(a Addr, v uint64) {
 		h.chargeAccess(a, false)
 	}
 	if d != nil {
-		if h.count {
-			h.ctr.stores.Add(1)
-		}
 		atomic.StoreUint64(&d.words[a], v)
 		return
 	}
@@ -180,9 +161,6 @@ func (h *Handle) CAS(a Addr, old, new uint64) bool {
 		h.chargeAccess(a, true)
 	}
 	if d != nil {
-		if h.count {
-			h.ctr.cases.Add(1)
-		}
 		return atomic.CompareAndSwapUint64(&d.words[a], old, new)
 	}
 	return h.mem.CAS(a, old, new)
@@ -191,13 +169,12 @@ func (h *Handle) CAS(a Addr, old, new uint64) bool {
 // SFence orders the client's preceding stores before its subsequent ones,
 // modelling the sfence the paper inserts in the allocation fast path. With
 // Go atomics every access is already sequentially consistent, so the fence
-// only needs to be accounted (and optionally charged) for the Figure 7
-// breakdown.
+// only charges the modelled latency and reaches intercepting middleware.
+// The Figure 7 breakdown counts fences at the client (obs.CtrFence).
 func (h *Handle) SFence() {
 	if h.hook != nil {
 		h.hook(h.cid, OpFence, 0)
 	}
-	h.ctr.fences.Add(1)
 	if h.lat != nil && h.lat.FenceNS > 0 {
 		h.lat.charge(h.lat.FenceNS)
 	}
@@ -207,13 +184,12 @@ func (h *Handle) SFence() {
 }
 
 // Flush models a CLWB of the cache line containing a, persisting it to the
-// device (needed on the paper's CXL 2.0 platform; see §6.1). It is an
-// accounting no-op plus optional latency.
+// device (needed on the paper's CXL 2.0 platform; see §6.1). Like SFence it
+// only charges the modelled latency and reaches intercepting middleware.
 func (h *Handle) Flush(a Addr) {
 	if h.hook != nil {
 		h.hook(h.cid, OpFlush, a)
 	}
-	h.ctr.flushes.Add(1)
 	if h.lat != nil && h.lat.FlushNS > 0 {
 		h.lat.charge(h.lat.FlushNS)
 	}

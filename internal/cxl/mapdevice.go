@@ -17,8 +17,8 @@ import (
 // device's failure domain is the file, not any process that maps it.
 //
 // MapDevice embeds Device, so the entire data path (atomic word access,
-// RAS fencing, Handle fast path, access counting) is byte-for-byte the same
-// code as the heap backend; only the storage the slices view differs. Two
+// RAS fencing, Handle fast path) is byte-for-byte the same code as the heap
+// backend; only the storage the slices view differs. Two
 // processes mapping the same file share one cache-coherent word array and
 // one set of fence flags, so a recovery service in a fresh process can
 // fence and recover the clients of a dead one.
@@ -96,7 +96,7 @@ func CreateMapDevice(path string, cfg Config) (*MapDevice, error) {
 	binary.LittleEndian.PutUint64(data[16:], uint64(cfg.Words))
 	binary.LittleEndian.PutUint64(data[24:], uint64(cfg.MaxClients))
 	binary.LittleEndian.PutUint64(data[32:], uint64(hdr))
-	return newMapDevice(path, data, cfg.Words, cfg.MaxClients, hdr, cfg.CountAccesses), nil
+	return newMapDevice(path, data, cfg.Words, cfg.MaxClients, hdr), nil
 }
 
 // OpenMapDevice maps an existing pool file. The pool comes back exactly as
@@ -176,7 +176,7 @@ func openMapDevice(path string, readOnly bool) (*MapDevice, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newMapDevice(path, data, int(words), int(maxClients), int(hdr), false), nil
+	return newMapDevice(path, data, int(words), int(maxClients), int(hdr)), nil
 }
 
 // NewAnonMapDevice creates a MapDevice backed by an unlinked temporary
@@ -202,11 +202,11 @@ func NewAnonMapDevice(cfg Config) (*MapDevice, error) {
 }
 
 // newMapDevice builds the device views over the mapping.
-func newMapDevice(path string, data []byte, words, maxClients, hdr int, count bool) *MapDevice {
+func newMapDevice(path string, data []byte, words, maxClients, hdr int) *MapDevice {
 	md := &MapDevice{data: data, path: path}
 	w := unsafe.Slice((*uint64)(unsafe.Pointer(&data[hdr])), words)
 	fenced := unsafe.Slice((*atomic.Uint32)(unsafe.Pointer(&data[mapFencedOff])), maxClients+1)
-	md.init(w, fenced, count)
+	md.init(w, fenced)
 	return md
 }
 

@@ -11,7 +11,7 @@ import (
 func newTestMapDevice(t *testing.T, words int) *MapDevice {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "pool.cxl")
-	md, err := CreateMapDevice(path, Config{Words: words, MaxClients: 8, CountAccesses: true})
+	md, err := CreateMapDevice(path, Config{Words: words, MaxClients: 8})
 	if err != nil {
 		t.Fatalf("CreateMapDevice: %v", err)
 	}
@@ -169,16 +169,7 @@ func TestAnonMapDevice(t *testing.T) {
 }
 
 func TestMapDeviceStats(t *testing.T) {
-	md := newTestMapDevice(t, 64)
-	md.ResetStats()
-	h := md.Open(1)
-	h.Store(1, 1)
-	h.Load(1)
-	h.CAS(1, 1, 2)
-	s := md.Stats()
-	if s.Stores != 1 || s.Loads != 1 || s.CASes != 1 {
-		t.Fatalf("stats = %+v", s)
-	}
+	checkAccessCounting(t, newTestMapDevice(t, 64))
 }
 
 func TestMapDeviceSnapshot(t *testing.T) {

@@ -15,10 +15,10 @@ package cxl
 //
 // All word accesses are atomic and linearizable, exactly as CXL 3.0 memory
 // sharing promises. Client code must not use a Memory directly: it opens a
-// Handle (Open), the only path on which RAS fencing, the latency model and
-// per-client access accounting apply. Direct Memory calls are the device
-// management plane — pool formatting, the recovery service, validators —
-// which the paper's model exempts from client fencing.
+// Handle (Open), the only path on which RAS fencing and the latency model
+// apply. Direct Memory calls are the device management plane — pool
+// formatting, the recovery service, validators — which the paper's model
+// exempts from client fencing.
 type Memory interface {
 	// Words reports the pool size in 8-byte words.
 	Words() int
@@ -35,12 +35,12 @@ type Memory interface {
 
 	// Fence orders preceding stores before subsequent ones. Go atomics are
 	// sequentially consistent already, so backends treat this as an
-	// accounting/interception point; Handle.SFence is the client-path
-	// equivalent that also charges modelled latency.
+	// interception point; Handle.SFence is the client-path equivalent that
+	// also charges modelled latency.
 	Fence()
 	// Flush models a CLWB of the cache line containing a (CXL 2.0
 	// persistence, paper §6.1). Like Fence it is an interception point;
-	// Handle.Flush is the accounted client-path version.
+	// Handle.Flush is the client-path version that charges latency.
 	Flush(a Addr)
 
 	// MaxClients bounds the client IDs that can be fenced or opened.
@@ -57,12 +57,6 @@ type Memory interface {
 	// Open creates the client access path for cid (1..MaxClients).
 	Open(cid int) *Handle
 
-	// Stats returns merged access counters: the backend's management-plane
-	// accesses plus every Handle's local counters.
-	Stats() Stats
-	// ResetStats zeroes all access counters.
-	ResetStats()
-
 	// Snapshot copies the entire pool contents (snapshot-based tools; the
 	// mmap backend makes most uses of this obsolete).
 	Snapshot() []uint64
@@ -71,61 +65,4 @@ type Memory interface {
 	// garbage-collected memory and Close is a no-op. Accessing a closed
 	// mmap backend faults, exactly like touching powered-off memory.
 	Close() error
-}
-
-// ReadBytesAt copies n bytes starting at byte offset off within the object
-// at word address a into p, using atomic word loads on m. Byte order is
-// little-endian, matching how a real CXL device presents memory to x86
-// hosts. This is the management-plane twin of Handle.ReadBytes (no fencing,
-// no latency model).
-func ReadBytesAt(m Memory, a Addr, off int, p []byte) {
-	i := 0
-	for i < len(p) {
-		byteIdx := off + i
-		wordOff := byteIdx % WordBytes
-		wa := a + Addr(byteIdx/WordBytes)
-		w := m.Load(wa)
-		n := WordBytes - wordOff
-		if n > len(p)-i {
-			n = len(p) - i
-		}
-		for k := 0; k < n; k++ {
-			p[i+k] = byte(w >> (8 * (wordOff + k)))
-		}
-		i += n
-	}
-}
-
-// WriteBytesAt stores p at byte offset off within the object at word
-// address a, the management-plane twin of Handle.WriteBytes. Partial edge
-// words use read-modify-write, non-atomic with respect to concurrent
-// writers of the same word — exactly like real shared memory.
-func WriteBytesAt(m Memory, a Addr, off int, p []byte) {
-	i := 0
-	for i < len(p) {
-		byteIdx := off + i
-		wordOff := byteIdx % WordBytes
-		wa := a + Addr(byteIdx/WordBytes)
-		if wordOff == 0 && len(p)-i >= WordBytes {
-			var w uint64
-			for k := 0; k < WordBytes; k++ {
-				w |= uint64(p[i+k]) << (8 * k)
-			}
-			m.Store(wa, w)
-			i += WordBytes
-			continue
-		}
-		w := m.Load(wa)
-		n := WordBytes - wordOff
-		if n > len(p)-i {
-			n = len(p) - i
-		}
-		for k := 0; k < n; k++ {
-			shift := 8 * (wordOff + k)
-			w &^= uint64(0xff) << shift
-			w |= uint64(p[i+k]) << shift
-		}
-		m.Store(wa, w)
-		i += n
-	}
 }

@@ -67,8 +67,6 @@ func (p *passthrough) FenceClient(cid int)       { p.inner.FenceClient(cid) }
 func (p *passthrough) UnfenceClient(cid int)     { p.inner.UnfenceClient(cid) }
 func (p *passthrough) ClientFenced(cid int) bool { return p.inner.ClientFenced(cid) }
 func (p *passthrough) Open(cid int) *Handle      { return p.inner.Open(cid) }
-func (p *passthrough) Stats() Stats              { return p.inner.Stats() }
-func (p *passthrough) ResetStats()               { p.inner.ResetStats() }
 func (p *passthrough) Snapshot() []uint64        { return p.inner.Snapshot() }
 func (p *passthrough) Close() error              { return p.inner.Close() }
 func (p *passthrough) Unwrap() Memory            { return p.inner }
@@ -98,16 +96,18 @@ func (l *latencyMem) Open(cid int) *Handle {
 	return l.inner.Open(cid).setLatency(l.lat)
 }
 
-// LatencyProfile exposes the configured profile (tests, tools).
-func (l *latencyMem) LatencyProfile() Latency { return l.lat }
-
 // --- counting middleware ---
 
+// Stats is a snapshot of an AccessCounter.
+type Stats struct {
+	Loads, Stores, CASes, Flushes, Fences uint64
+}
+
 // AccessCounter aggregates every access flowing through a WithCounting
-// layer. Unlike the backend's built-in handle-local counting, one counter
-// observes the whole stack — client and management plane alike — at the
-// cost of shared atomics; use it for campaigns and tools, not for
-// fast-path benchmarks.
+// layer: client and management plane alike. It is the only device-access
+// counter; the backends count nothing themselves. Its atomics are shared by
+// every client of the stack, so concurrent clients contend on them — keep
+// it out of pure throughput runs.
 type AccessCounter struct {
 	Loads, Stores, CASes, Flushes, Fences atomic.Uint64
 }

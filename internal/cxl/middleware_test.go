@@ -54,18 +54,24 @@ func TestWithCountingObservesEverything(t *testing.T) {
 	}
 }
 
-func TestWithCountingDoesNotDoubleCount(t *testing.T) {
-	// The device's built-in counting counts interface-path calls itself;
-	// a retargeted handle must not add its own handle-local count on top.
-	d := newTestDevice(t, 64) // CountAccesses: true
+// checkAccessCounting counts one client access of each kind on d through
+// WithCounting, then resets the counter. TestStatsAccounting runs it on the
+// heap backend and TestMapDeviceStats on the mmap backend.
+func checkAccessCounting(t *testing.T, d Memory) {
+	t.Helper()
 	var ctr AccessCounter
 	h := Wrap(d, WithCounting(&ctr)).Open(1)
-	d.ResetStats()
-	h.Store(3, 1)
-	h.Load(3)
-	s := d.Stats()
-	if s.Stores != 1 || s.Loads != 1 {
-		t.Fatalf("device stats = %+v, want exactly one store and one load", s)
+	h.Store(1, 1)
+	h.Load(1)
+	h.CAS(1, 1, 2)
+	h.Flush(1)
+	h.SFence()
+	if s := ctr.Snapshot(); s != (Stats{Loads: 1, Stores: 1, CASes: 1, Flushes: 1, Fences: 1}) {
+		t.Fatalf("counter = %+v, want one of each", s)
+	}
+	ctr.Reset()
+	if s := ctr.Snapshot(); s != (Stats{}) {
+		t.Fatalf("after reset = %+v, want zero", s)
 	}
 }
 
@@ -88,6 +94,10 @@ func TestWithCountingPreservesFencing(t *testing.T) {
 	}
 	if h.DroppedWrites() != 2 {
 		t.Fatalf("dropped = %d, want 2", h.DroppedWrites())
+	}
+	// The writes the fence dropped never reach the counter.
+	if s := ctr.Snapshot(); s.Stores != 1 || s.CASes != 0 {
+		t.Fatalf("counter = %+v, want 1 store and 0 CAS", s)
 	}
 }
 

@@ -259,13 +259,6 @@ func (c *Corruptor) Disarm() {
 	c.mu.Unlock()
 }
 
-// Armed reports whether live injection is active.
-func (c *Corruptor) Armed() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.armed
-}
-
 // Lie reports the drawn stuck-CAS flavor: true for success-lie, false for
 // spin-fail. Only meaningful after Arm.
 func (c *Corruptor) Lie() bool {

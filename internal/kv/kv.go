@@ -143,9 +143,6 @@ func (s *Store) Close() error {
 	return err
 }
 
-// IndexAddr returns the shared index address (diagnostics).
-func (s *Store) IndexAddr() layout.Addr { return s.index }
-
 // ValueSize returns the store's fixed value size.
 func (s *Store) ValueSize() int { return s.valSize }
 

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"time"
 )
@@ -295,18 +294,4 @@ func GlobalSnapshot() Snapshot {
 		s.Histograms[h.Name()] = finishHistogram(hists[h])
 	}
 	return s
-}
-
-// GlobalEvents returns every registered pool's retained trace events,
-// ordered by time.
-func GlobalEvents() []Event {
-	global.mu.Lock()
-	ms := append([]*Metrics(nil), global.ms...)
-	global.mu.Unlock()
-	var out []Event
-	for _, m := range ms {
-		out = append(out, m.trc.Events()...)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Time.Before(out[j].Time) })
-	return out
 }

@@ -277,14 +277,6 @@ func (r *Registry) Shard(i int) *Shard {
 	return &r.shards[i]
 }
 
-// NumShards reports how many shards the registry holds.
-func (r *Registry) NumShards() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.shards)
-}
-
 // Counters sums every shard into one counter vector.
 func (r *Registry) Counters() [NumCounters]uint64 {
 	var out [NumCounters]uint64

@@ -65,7 +65,7 @@ type Monitor struct {
 	// client is never recovered by two workers at once and ticks arriving
 	// mid-recovery don't pile up duplicate dispatches.
 	inflight map[int]bool
-	// wg tracks dispatched recovery goroutines; Stop and Quiesce wait on it.
+	// wg tracks dispatched recovery goroutines; Stop waits on it.
 	wg sync.WaitGroup
 
 	fsckEvery int
@@ -177,11 +177,6 @@ func (m *Monitor) Stop() {
 	<-m.done
 	m.wg.Wait()
 }
-
-// Quiesce waits for every dispatched recovery worker to finish and record
-// its result. Tests driving Tick directly use it to observe a stable
-// Recoveries()/Failures() state without stopping the monitor.
-func (m *Monitor) Quiesce() { m.wg.Wait() }
 
 // Reports returns the recoveries performed so far.
 func (m *Monitor) Reports() []Report {

@@ -98,11 +98,3 @@ func (h *LatencyHist) Percentile(q float64) int64 {
 	}
 	return h.MaxNS
 }
-
-// MeanNS returns the average observation.
-func (h *LatencyHist) MeanNS() int64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return h.SumNS / int64(h.Count)
-}

@@ -52,8 +52,6 @@ const (
 	pmScan = 2 // bump pointer into the never-allocated tail of the page
 )
 
-func (c *Client) pageMetaAddr(pr pageRef) layout.Addr { return c.geo.PageMetaAddr(pr.seg, pr.page) }
-
 // allocSampleEvery is the Malloc latency sampling period: one call in this
 // many feeds the alloc_ns histogram, keeping the fast path flat while the
 // histogram still converges within any benchmark-scale run. Must be a power

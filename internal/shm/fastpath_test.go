@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/cxl"
 	"repro/internal/layout"
 	"repro/internal/obs"
 	"repro/internal/shm"
@@ -19,8 +20,9 @@ import (
 // trio 57) — a regression that reintroduces per-op metadata traffic trips
 // them immediately.
 
-func newCountingPool(t *testing.T) *shm.Pool {
+func newCountingPool(t *testing.T) (*shm.Pool, *cxl.AccessCounter) {
 	t.Helper()
+	ctr := &cxl.AccessCounter{}
 	p, err := shm.NewPool(shm.Config{
 		Geometry: layout.GeometryConfig{
 			MaxClients:   8,
@@ -28,18 +30,17 @@ func newCountingPool(t *testing.T) *shm.Pool {
 			SegmentWords: 1 << 15,
 			PageWords:    1 << 11,
 		},
-		CountAccesses: true,
+		Middleware: []cxl.Middleware{cxl.WithCounting(ctr)},
 	})
 	if err != nil {
 		t.Fatalf("NewPool: %v", err)
 	}
-	return p
+	return p, ctr
 }
 
 func TestDeviceAccessBudget(t *testing.T) {
-	p := newCountingPool(t)
+	p, ctr := newCountingPool(t)
 	c := connect(t, p)
-	dev := p.Device()
 	const n = 4000
 	roots := make([]layout.Addr, 0, n)
 	// Warm up so page claiming amortizes out of the measured window.
@@ -58,9 +59,9 @@ func TestDeviceAccessBudget(t *testing.T) {
 	roots = roots[:0]
 
 	perOp := func(f func()) float64 {
-		dev.ResetStats()
+		ctr.Reset()
 		f()
-		s := dev.Stats()
+		s := ctr.Snapshot()
 		return float64(s.Loads+s.Stores+s.CASes) / n
 	}
 

@@ -23,11 +23,6 @@ type Config struct {
 	// Latency optionally enables the device latency model (stacked as
 	// cxl.WithLatency middleware over the backend).
 	Latency cxl.Latency
-	// CountAccesses enables the device's per-access statistics (loads,
-	// stores, CAS). Counting is handle-local and merged on read, so it no
-	// longer serializes concurrent clients; still, keep it off for pure
-	// throughput runs.
-	CountAccesses bool
 
 	// Backend selects the device backend: "heap" (default) keeps the pool
 	// in process memory; "mmap" backs it with an unlinked temporary file
@@ -43,7 +38,8 @@ type Config struct {
 	// sized for the geometry. Overrides Backend and File.
 	Memory cxl.Memory
 	// Middleware is stacked over the backend (innermost first) before any
-	// client or the recovery service touches it.
+	// client or the recovery service touches it. Stack cxl.WithCounting
+	// here to count device accesses.
 	Middleware []cxl.Middleware
 }
 
@@ -83,9 +79,8 @@ func newMetrics(geo *layout.Geometry) *obs.Metrics {
 // newBackend builds the device backend cfg selects for geo.
 func newBackend(cfg Config, geo *layout.Geometry) (cxl.Memory, error) {
 	devCfg := cxl.Config{
-		Words:         int(geo.TotalWords),
-		MaxClients:    geo.MaxClients + 1, // +1: the recovery service connects as a client too
-		CountAccesses: cfg.CountAccesses,
+		Words:      int(geo.TotalWords),
+		MaxClients: geo.MaxClients + 1, // +1: the recovery service connects as a client too
 	}
 	if cfg.File != "" {
 		return cxl.CreateMapDevice(cfg.File, devCfg)
